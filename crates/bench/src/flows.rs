@@ -155,6 +155,23 @@ mod tests {
     }
 
     #[test]
+    fn flow_world_100k_is_pinned() {
+        // Recorded from the binary-heap `FlowSet` scheduler; the engine's
+        // queues must reproduce its emission order exactly.
+        let out = run_flow_world(100_000, 7);
+        assert_eq!(
+            (
+                out.events,
+                out.spawned,
+                out.completed,
+                out.packets,
+                out.digest
+            ),
+            (799_982, 100_000, 100_000, 200_000, 0x008d_b069_d7c8_b3b4)
+        );
+    }
+
+    #[test]
     fn dispatch_modes_agree_on_everything_but_the_clock() {
         let a = run_flow_world_mode(2_000, 7, DispatchMode::DynModeled);
         let b = run_flow_world_mode(2_000, 7, DispatchMode::Fast);
