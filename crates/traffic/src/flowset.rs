@@ -3,18 +3,39 @@
 //! [`FlowSet`] is a single device that drives an arbitrary number of
 //! concurrent flows — the workload shape the paper's testbed could never
 //! reach (Mininet tops out at thousands of iperf processes). Instead of one
-//! device per flow, all per-flow state lives in struct-of-arrays slabs
-//! inside one device, and one service timer drains a pacing heap. That
-//! keeps the marginal cost of a flow to a few dozen bytes and one heap
+//! device per flow, every live flow is one 32-byte [`Pending`] entry —
+//! next deadline, tiebreak, flow id, bytes left — in one of three queues
+//! inside one device, and one service timer drains them in
+//! `(due, order)` order. That keeps the marginal cost of a flow to one
 //! entry, so a single world comfortably holds 10⁶ live flows.
+//!
+//! # Why three sorted queues suffice
+//!
+//! A flow is queued in exactly three situations, and each one produces
+//! deadlines in non-decreasing order, so no priority queue is needed:
+//!
+//! - **start** — pre-spawned flows get random staggered deadlines, but all
+//!   of them exist at `on_start`: they are sorted once by `(due, order)`
+//!   and read with a cursor, and the run is freed once drained;
+//! - **fresh** — a Poisson arrival is due at its spawn instant `now`, and
+//!   the simulated clock never goes backwards;
+//! - **paced** — after a packet, a flow is due `now + packet_gap()`, and
+//!   the gap is a per-engine constant.
+//!
+//! `order` is a per-engine counter bumped on every enqueue, so `(due,
+//! order)` keys are unique and strictly increasing within each queue. The
+//! smallest of the three heads is therefore the smallest pending key
+//! overall, and popping it reproduces exactly the sequence a single
+//! min-heap over all entries would pop. A per-flow pacing rate would break
+//! the paced queue's monotonicity; a debug assertion on every push guards
+//! that invariant.
 //!
 //! The engine is deterministic end to end: flow sizes and arrival times
 //! come from per-flow splitmix64 streams derived from the world seed, so
 //! two runs with the same seed produce bit-identical packet sequences
 //! (checkable via [`FlowSetStats::digest`]).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
@@ -98,7 +119,7 @@ pub struct FlowSetConfig {
     /// Flow size distribution, bytes per flow.
     pub size_dist: SizeDist,
     /// UDP payload bytes per packet (a flow of `n` bytes sends
-    /// `ceil(n / payload_len)` packets).
+    /// `ceil(n / payload_len)` packets). [`FlowSet::new`] raises 0 to 1.
     pub payload_len: usize,
     /// Per-flow pacing rate in bits/s of payload.
     pub flow_rate_bps: u64,
@@ -268,12 +289,48 @@ fn zero_payload(len: usize) -> Bytes {
     Bytes::from_static(&ZERO_PAYLOAD[..len.min(ZERO_PAYLOAD.len())])
 }
 
+/// One live flow, queued until its next packet is due.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    /// When the flow's next packet is due.
+    due: SimTime,
+    /// Unique, monotone tiebreak: equal deadlines fire in enqueue order.
+    order: u64,
+    flow_id: u64,
+    /// Payload bytes still to send.
+    remaining: u64,
+}
+
+impl Pending {
+    fn key(&self) -> (SimTime, u64) {
+        (self.due, self.order)
+    }
+}
+
+/// Appends `flow` to a FIFO whose keys must stay sorted.
+fn push_sorted(queue: &mut VecDeque<Pending>, flow: Pending) {
+    debug_assert!(
+        queue.back().is_none_or(|b| b.key() < flow.key()),
+        "FlowSet queue would lose its order"
+    );
+    queue.push_back(flow);
+}
+
+/// Which queue holds the earliest pending flow.
+#[derive(Debug, Clone, Copy)]
+enum Queue {
+    Start,
+    Fresh,
+    Paced,
+}
+
 /// The million-flow engine. See the [module docs](self) for the design.
 ///
-/// Per-flow state is three parallel slabs (`remaining`, `rng`, `flow_id`)
-/// plus one entry in the pacing heap; freed slots are recycled through a
-/// free list, so memory is bounded by the *peak* concurrent flow count,
-/// not the total spawned.
+/// All per-flow state lives in the [`Pending`] entries of three queues —
+/// the sorted start run, `fresh` arrivals and `paced` re-sends — so a
+/// finished flow simply is not re-queued, and memory after the start run
+/// drains is bounded by the flows due within one packet gap plus the
+/// arrivals due now, not by the total spawned.
 #[derive(Debug)]
 pub struct FlowSet {
     nic: HostNic,
@@ -282,14 +339,14 @@ pub struct FlowSet {
     rng_base: u64,
     /// Stream for arrival-process draws (interarrival gaps).
     arrival_rng: FlowRng,
-    // --- slabs, indexed by slot ---
-    remaining: Vec<u64>,
-    rng: Vec<FlowRng>,
-    flow_id: Vec<u64>,
-    free: Vec<u32>,
-    /// Pacing heap: earliest next-packet deadline first; `order` is a
-    /// monotone tiebreak so equal deadlines fire in spawn order.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Pre-spawned flows sorted by `(due, order)`; `starts[next_start..]`
+    /// are still waiting for their first packet.
+    starts: Vec<Pending>,
+    next_start: usize,
+    /// Poisson arrivals, each due at its spawn instant.
+    fresh: VecDeque<Pending>,
+    /// Flows waiting one packet gap after their last packet.
+    paced: VecDeque<Pending>,
     order: u64,
     /// The deadline the earliest outstanding service timer targets.
     armed_for: Option<SimTime>,
@@ -302,18 +359,20 @@ pub struct FlowSet {
 }
 
 impl FlowSet {
-    /// Creates the engine on `nic`.
-    pub fn new(nic: HostNic, cfg: FlowSetConfig) -> FlowSet {
+    /// Creates the engine on `nic`. A `payload_len` of 0 is raised to 1,
+    /// as [`FlowSetConfig::with_payload_len`] does, so every packet makes
+    /// progress.
+    pub fn new(nic: HostNic, mut cfg: FlowSetConfig) -> FlowSet {
+        cfg.payload_len = cfg.payload_len.max(1);
         FlowSet {
             nic,
             cfg,
             rng_base: 0,
             arrival_rng: FlowRng(0),
-            remaining: Vec::new(),
-            rng: Vec::new(),
-            flow_id: Vec::new(),
-            free: Vec::new(),
-            heap: BinaryHeap::new(),
+            starts: Vec::new(),
+            next_start: 0,
+            fresh: VecDeque::new(),
+            paced: VecDeque::new(),
             order: 0,
             armed_for: None,
             arrivals_until: SimTime::ZERO,
@@ -332,52 +391,82 @@ impl FlowSet {
         self.stats.active
     }
 
-    fn spawn_flow(&mut self, first_due: SimTime) {
-        let id = self.stats.spawned;
-        let mut rng = FlowRng::new(self.rng_base, id);
-        let size = self.cfg.size_dist.sample(&mut rng);
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.remaining[s as usize] = size;
-                self.rng[s as usize] = rng;
-                self.flow_id[s as usize] = id;
-                s
-            }
-            None => {
-                self.remaining.push(size);
-                self.rng.push(rng);
-                self.flow_id.push(id);
-                (self.remaining.len() - 1) as u32
-            }
-        };
-        self.heap.push(Reverse((first_due, self.order, slot)));
+    fn next_order(&mut self) -> u64 {
+        let order = self.order;
         self.order += 1;
-        self.stats.spawned += 1;
-        self.stats.active += 1;
+        order
     }
 
-    /// Emits one packet for `slot`; returns the flow's next deadline, or
-    /// `None` when the flow just sent its last byte.
-    fn service_slot(&mut self, ctx: &mut Ctx<'_>, now: SimTime, slot: u32) -> Option<SimTime> {
-        let i = slot as usize;
-        let take = (self.cfg.payload_len as u64).min(self.remaining[i]);
+    /// Creates a flow whose first packet is due at `first_due`; the caller
+    /// queues it.
+    fn spawn_flow(&mut self, first_due: SimTime) -> Pending {
+        let flow_id = self.stats.spawned;
+        let mut rng = FlowRng::new(self.rng_base, flow_id);
+        let remaining = self.cfg.size_dist.sample(&mut rng);
+        self.stats.spawned += 1;
+        self.stats.active += 1;
+        Pending {
+            due: first_due,
+            order: self.next_order(),
+            flow_id,
+            remaining,
+        }
+    }
+
+    /// The queue whose head has the smallest `(due, order)`, with that due.
+    fn earliest(&self) -> Option<(Queue, SimTime)> {
+        let heads = [
+            (Queue::Start, self.starts.get(self.next_start)),
+            (Queue::Fresh, self.fresh.front()),
+            (Queue::Paced, self.paced.front()),
+        ];
+        heads
+            .into_iter()
+            .filter_map(|(q, head)| head.map(|p| (q, p.key())))
+            .min_by_key(|&(_, key)| key)
+            .map(|(q, (due, _))| (q, due))
+    }
+
+    /// Removes and returns the earliest flow if it is due by `now`.
+    fn pop_due(&mut self, now: SimTime) -> Option<Pending> {
+        let (queue, due) = self.earliest()?;
+        if due > now {
+            return None;
+        }
+        match queue {
+            Queue::Start => {
+                let flow = self.starts[self.next_start];
+                self.next_start += 1;
+                if self.next_start == self.starts.len() {
+                    self.starts = Vec::new();
+                    self.next_start = 0;
+                }
+                Some(flow)
+            }
+            Queue::Fresh => self.fresh.pop_front(),
+            Queue::Paced => self.paced.pop_front(),
+        }
+    }
+
+    /// Emits one packet of `flow`; returns whether bytes remain.
+    fn service_flow(&mut self, ctx: &mut Ctx<'_>, now: SimTime, flow: &mut Pending) -> bool {
+        let take = (self.cfg.payload_len as u64).min(flow.remaining);
         if let Some(dst_mac) = self.nic.resolve(self.cfg.dst_ip) {
-            let frame = self.frame_for(dst_mac, take, self.flow_id[i]);
+            let frame = self.frame_for(dst_mac, take, flow.flow_id);
             ctx.send_frame(NIC_PORT, frame);
         }
-        self.remaining[i] -= take;
+        flow.remaining -= take;
         self.stats.packets_sent += 1;
         self.stats.bytes_sent += take;
         let d = digest_fold(self.stats.digest, now.as_nanos());
-        let d = digest_fold(d, self.flow_id[i]);
+        let d = digest_fold(d, flow.flow_id);
         self.stats.digest = digest_fold(d, take);
-        if self.remaining[i] == 0 {
+        if flow.remaining == 0 {
             self.stats.completed += 1;
             self.stats.active -= 1;
-            self.free.push(slot);
-            None
+            false
         } else {
-            Some(now + self.cfg.packet_gap())
+            true
         }
     }
 
@@ -428,9 +517,9 @@ impl FlowSet {
         frame
     }
 
-    /// Ensures a service timer is pending for the heap's earliest deadline.
+    /// Ensures a service timer is pending for the earliest deadline.
     fn arm_service(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(&Reverse((due, _, _))) = self.heap.peek() else {
+        let Some((_, due)) = self.earliest() else {
             return;
         };
         if self.armed_for.is_some_and(|t| t <= due) {
@@ -461,6 +550,7 @@ impl Device for FlowSet {
         self.arrivals_until = ctx.now() + self.cfg.arrival_window;
         let now = ctx.now();
         let spread = self.cfg.start_spread.as_nanos();
+        let mut starts = Vec::with_capacity(self.cfg.initial_flows);
         for _ in 0..self.cfg.initial_flows {
             // Stagger first packets over the spread window; each flow's
             // offset comes from its own stream so the pattern is seed-stable.
@@ -470,8 +560,11 @@ impl Device for FlowSet {
             } else {
                 r.next_u64() % spread
             };
-            self.spawn_flow(now + SimDuration::from_nanos(offset));
+            starts.push(self.spawn_flow(now + SimDuration::from_nanos(offset)));
         }
+        // Keys are unique, so the unstable sort is deterministic.
+        starts.sort_unstable_by_key(Pending::key);
+        self.starts = starts;
         self.arm_service(ctx);
         self.schedule_next_arrival(ctx);
     }
@@ -486,8 +579,8 @@ impl Device for FlowSet {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token {
             ARRIVAL_TIMER if ctx.now() <= self.arrivals_until => {
-                let now = ctx.now();
-                self.spawn_flow(now);
+                let flow = self.spawn_flow(ctx.now());
+                push_sorted(&mut self.fresh, flow);
                 self.arm_service(ctx);
                 self.schedule_next_arrival(ctx);
             }
@@ -497,19 +590,16 @@ impl Device for FlowSet {
                 if self.armed_for.is_some_and(|t| t <= now) {
                     self.armed_for = None;
                 }
-                // Drain every flow whose deadline has passed. Deadlines in
-                // the heap are unique per live flow, so re-pushing inside
-                // the loop is safe: a re-pushed deadline is strictly later
-                // than `now` whenever packet_gap > 0.
-                while let Some(&Reverse((due, _, slot))) = self.heap.peek() {
-                    if due > now {
-                        break;
-                    }
-                    self.heap.pop();
-                    if let Some(next) = self.service_slot(ctx, now, slot) {
-                        self.heap.push(Reverse((next.max(now), self.order, slot)));
-                        self.order += 1;
-                        if next <= now {
+                // Drain every flow whose deadline has passed. Re-queueing
+                // inside the loop is safe: a re-queued deadline is strictly
+                // later than `now` whenever packet_gap > 0.
+                let gap = self.cfg.packet_gap();
+                while let Some(mut flow) = self.pop_due(now) {
+                    if self.service_flow(ctx, now, &mut flow) {
+                        flow.due = now + gap;
+                        flow.order = self.next_order();
+                        push_sorted(&mut self.paced, flow);
+                        if gap == SimDuration::ZERO {
                             // Zero pacing gap: yield to the scheduler rather
                             // than spinning the whole flow out in one tick.
                             break;
@@ -721,13 +811,14 @@ mod tests {
     }
 
     #[test]
-    fn slab_slots_are_recycled() {
-        // Long run with short flows: peak slab size must stay far below the
-        // total number of flows spawned.
+    fn queues_stay_bounded_by_concurrency() {
+        // Long run with short three-packet flows: the peak number of queued
+        // re-sends and arrivals must stay far below the total number of
+        // flows spawned. A queue's capacity is at least its peak length.
         let cfg = FlowSetConfig::new(DST_IP)
             .with_arrival_rate(500.0)
             .with_arrival_window(SimDuration::from_secs(4))
-            .with_size_dist(SizeDist::Fixed(1000))
+            .with_size_dist(SizeDist::Fixed(3000))
             .with_payload_len(1000)
             .with_flow_rate(100_000_000);
         let (na, nb) = nics();
@@ -746,12 +837,30 @@ mod tests {
         let stats = fs.stats();
         assert!(stats.spawned > 1000, "spawned {}", stats.spawned);
         assert_eq!(stats.completed, stats.spawned);
+        assert_eq!(stats.packets_sent, 3 * stats.spawned);
+        let peak = fs.paced.capacity() + fs.fresh.capacity();
         assert!(
-            fs.remaining.len() < stats.spawned as usize / 10,
-            "slab {} for {} flows",
-            fs.remaining.len(),
+            peak < stats.spawned as usize / 10,
+            "queues held {peak} entries for {} flows",
             stats.spawned
         );
+    }
+
+    #[test]
+    fn zero_payload_len_cannot_livelock() {
+        // The public field bypasses `with_payload_len`'s clamp; a 0-byte
+        // packet would never shrink the flow, and its 0 ns pacing gap would
+        // re-arm the service timer at the same instant forever.
+        let mut cfg = FlowSetConfig::new(DST_IP)
+            .with_initial_flows(1)
+            .with_arrival_rate(0.0)
+            .with_size_dist(SizeDist::Fixed(4096))
+            .with_start_spread(SimDuration::ZERO);
+        cfg.payload_len = 0;
+        let (stats, pkts, bytes, _) = run(5, cfg, 1);
+        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.packets_sent, 4096);
+        assert_eq!((pkts, bytes), (4096, 4096));
     }
 
     #[test]
