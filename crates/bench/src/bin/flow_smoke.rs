@@ -7,30 +7,23 @@
 //! blows the wall-clock budget fails the job even though the run itself
 //! would eventually succeed.
 //!
-//! Usage: `flow_smoke [flows] [--dispatch=fast|dyn]`
+//! Usage: `flow_smoke [flows]`
 //!
-//! `--dispatch=dyn` runs the PR-9 baseline hot path (boxed dyn dispatch,
-//! modeled CPU admission, no template-frame cache) instead of the default
-//! fast path — handy for ad-hoc A/B probes outside `perf_report`.
+//! `flows` is a plain decimal count (`1000000`, not `1e6`). Any other
+//! argument, or more than one, prints the usage line and exits 2 rather
+//! than silently running the default.
 
-use netco_bench::flows::{peak_rss_mb, run_flow_world_mode, DispatchMode};
+use netco_bench::flows::{peak_rss_mb, run_flow_world};
 
 fn main() {
-    let mut flows: usize = 100_000;
-    let mut mode = DispatchMode::Fast;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--dispatch=dyn" => mode = DispatchMode::DynModeled,
-            "--dispatch=fast" => mode = DispatchMode::Fast,
-            other => {
-                if let Ok(n) = other.parse() {
-                    flows = n;
-                }
-            }
-        }
-    }
-    let first = run_flow_world_mode(flows, 7, mode);
-    let second = run_flow_world_mode(flows, 7, mode);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let flows: usize = match args.as_slice() {
+        [] => 100_000,
+        [n] => n.parse().unwrap_or_else(|_| usage_exit()),
+        _ => usage_exit(),
+    };
+    let first = run_flow_world(flows, 7);
+    let second = run_flow_world(flows, 7);
     let identical = first.digest == second.digest && first.events == second.events;
     let complete = second.completed == second.spawned && second.spawned == flows as u64;
     println!(
@@ -48,4 +41,9 @@ fn main() {
         eprintln!("flow_smoke: FAILED (identical={identical} complete={complete})");
         std::process::exit(1);
     }
+}
+
+fn usage_exit() -> ! {
+    eprintln!("usage: flow_smoke [flows]");
+    std::process::exit(2);
 }

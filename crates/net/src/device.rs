@@ -58,15 +58,13 @@ impl Device for Box<dyn Device> {
 /// How a world stores and invokes its devices — the axis the
 /// [`GenericWorld`](crate::GenericWorld) event loop is generic over.
 ///
-/// Two strategies exist:
-///
-/// * `Box<dyn Device>` (the [`World`](crate::World) alias): one vtable
-///   dispatch + heap-pointer chase per event. Fully general, and the
-///   differential oracle for every fast path.
-/// * `netco-fastpath`'s `DeviceKind` enum: the half-dozen hottest built-in
-///   devices inlined as enum variants, so a dispatched event is a jump
-///   table into monomorphized (inlinable) handler code; everything else
-///   rides the `Custom(Box<dyn Device>)` variant.
+/// The one production storage is `Box<dyn Device>` (the
+/// [`World`](crate::World) alias): every scenario, grid and topology
+/// constructor produces it and every run uses it. The trait exists as an
+/// interposition hook: a wrapper storage can sit between the event loop
+/// and each device — the benchmark's traced run wraps every device to
+/// time each handler call by device class — without touching the loop or
+/// the devices.
 ///
 /// `from_dyn`/`into_dyn` round-trip through the boxed interchange form, so
 /// a world can be converted between strategies at any quiescent point
@@ -78,8 +76,7 @@ impl Device for Box<dyn Device> {
 /// methods: `Box<dyn Device>` implements both traits, and identical names
 /// would make every call site ambiguous.
 pub trait DeviceStore: Send + 'static {
-    /// Wraps a boxed device in this storage form (classifying it into an
-    /// enum variant, for the fast path).
+    /// Wraps a boxed device in this storage form.
     fn from_dyn(device: Box<dyn Device>) -> Self;
 
     /// Unwraps back to the boxed interchange form, preserving all device
@@ -100,7 +97,7 @@ pub trait DeviceStore: Send + 'static {
 
     /// The stored device as `Any`, for concrete-type downcasts
     /// ([`crate::World::device`]). Implementations unwrap their own
-    /// storage layers (enum variant, double boxing) so the returned `Any`
+    /// storage layers (wrappers, double boxing) so the returned `Any`
     /// is the user's concrete device type.
     fn inner_any(&self) -> &dyn Any;
 

@@ -521,9 +521,7 @@ pub(crate) struct Substrate {
 }
 
 /// The substrate plus the device table, generic over the device storage
-/// strategy `D` (see [`DeviceStore`]): `Box<dyn Device>` for the classic
-/// vtable-dispatched world, an inlined enum for the monomorphic fast
-/// path.
+/// strategy `D` (see [`DeviceStore`]).
 pub(crate) struct WorldCore<D> {
     /// `None` only transiently, while a region shard owns the device.
     pub(crate) devices: Vec<Option<D>>,
@@ -965,10 +963,9 @@ impl<D: DeviceStore> WorldCore<D> {
 /// discrete-event loop tying them together, generic over the device storage
 /// strategy `D` (see [`DeviceStore`]).
 ///
-/// Use the [`World`] alias (`D = Box<dyn Device>`) unless you are opting a
-/// world into a monomorphic device enum (e.g. `netco-fastpath`'s
-/// `FastWorld`); see the [crate documentation](crate) for an end-to-end
-/// example.
+/// Use the [`World`] alias (`D = Box<dyn Device>`) unless you are
+/// interposing a wrapper storage on a built world (see [`DeviceStore`]);
+/// see the [crate documentation](crate) for an end-to-end example.
 pub struct GenericWorld<D: DeviceStore> {
     pub(crate) core: WorldCore<D>,
     /// The (possibly `!Send`) tap closures. The substrate never calls them
@@ -985,9 +982,8 @@ pub struct GenericWorld<D: DeviceStore> {
     batch: Tick<Event>,
 }
 
-/// The classic vtable-dispatched world: every device is a `Box<dyn Device>`.
-/// This is the differential oracle for enum-dispatch worlds and the type
-/// every builder produces.
+/// The vtable-dispatched world: every device is a `Box<dyn Device>`. This
+/// is the type every scenario constructor produces and every run uses.
 pub type World = GenericWorld<Box<dyn Device>>;
 
 impl<D: DeviceStore> GenericWorld<D> {
@@ -1029,8 +1025,8 @@ impl<D: DeviceStore> GenericWorld<D> {
     /// Converts this world's device table to another storage strategy `E`
     /// (through the `Box<dyn Device>` interchange form), carrying all
     /// substrate state — clocks, RNG streams, links, pending events —
-    /// unchanged. `fastpath::accelerate` uses this to turn a freshly built
-    /// dyn world into an enum-dispatch world.
+    /// unchanged. A wrapper storage (see [`DeviceStore`]) is swapped in and
+    /// back out this way.
     pub fn map_devices<E: DeviceStore>(self) -> GenericWorld<E> {
         GenericWorld {
             core: WorldCore {

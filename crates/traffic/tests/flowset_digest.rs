@@ -88,29 +88,35 @@ fn pin(
 
 #[test]
 fn prespawned_staggered_flows_are_pinned() {
-    let cfg = FlowSetConfig::new(DST_IP)
-        .with_initial_flows(3_000)
-        .with_arrival_rate(0.0)
-        .with_size_dist(SizeDist::Pareto {
-            alpha: 1.3,
-            min_bytes: 2_000,
-        })
-        .with_payload_len(1_000)
-        .with_flow_rate(20_000_000)
-        .with_start_spread(SimDuration::from_millis(40));
-    assert_eq!(
-        run(5, cfg, 300),
-        pin(
-            3000,
-            2998,
-            24653,
-            22995568,
-            0x05c4f1bcce928e49,
-            24653,
-            0xdc34d9ce090700ab,
-            98615
-        )
-    );
+    // The template-frame cache changes how a frame is built, never its
+    // bytes: the pin holds with the cache on (the default) and off.
+    for frame_cache in [true, false] {
+        let cfg = FlowSetConfig::new(DST_IP)
+            .with_initial_flows(3_000)
+            .with_arrival_rate(0.0)
+            .with_size_dist(SizeDist::Pareto {
+                alpha: 1.3,
+                min_bytes: 2_000,
+            })
+            .with_payload_len(1_000)
+            .with_flow_rate(20_000_000)
+            .with_start_spread(SimDuration::from_millis(40))
+            .with_frame_cache(frame_cache);
+        assert_eq!(
+            run(5, cfg, 300),
+            pin(
+                3000,
+                2998,
+                24653,
+                22995568,
+                0x05c4f1bcce928e49,
+                24653,
+                0xdc34d9ce090700ab,
+                98615
+            ),
+            "frame_cache = {frame_cache}"
+        );
+    }
 }
 
 #[test]
